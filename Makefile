@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-portable race vet lint lint-concurrency fuzz-short bench bench-datapath bench-smoke telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check clean
+.PHONY: all build test test-portable race vet lint lint-concurrency fuzz-short bench bench-datapath bench-smoke bench-e2e telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke check loc clean
 
 all: build
 
@@ -66,6 +66,14 @@ bench-smoke:
 	$(GO) test -bench='BenchmarkUDPSendBatch|BenchmarkUDPRecvBatch' -benchtime=0.2s -benchmem \
 		-run='TestUDPSendBatchAllocFree|TestUDPRecvBatchAllocFreeKernel' ./internal/transport/
 
+# The repository benchmark (perfbench/, BENCHMARK.json) on its three gated
+# workloads, 30 s each: every run prints its JSON result as the last line.
+# Not part of check — it takes minutes and measures, it does not gate.
+bench-e2e:
+	python3 perfbench/run.py --workload tensor-udp --seconds 30
+	python3 perfbench/run.py --workload sip-churn --seconds 30
+	python3 perfbench/run.py --workload rc-stream --seconds 30
+
 # Boot the daemon over a 1%-lossy simnet, scrape its own /metrics, and
 # fail unless the datapath counters show traffic, loss, and rudp recovery
 # (DESIGN.md §4.6). Exits non-zero if any asserted counter is missing or 0.
@@ -100,6 +108,12 @@ soak-smoke:
 
 # What CI should run.
 check: build vet test test-portable race lint lint-concurrency telemetry-smoke tensorbench-smoke chaos-smoke chaos-smoke-race soak-smoke
+
+# Non-test Go source size (testdata fixtures and build output excluded):
+# total lines, and code lines without blanks and whole-line comments.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.bench_build/*' \
+		-exec cat {} + | awk '{n++} !/^[ \t]*(\/\/|$$)/ {c++} END {printf "non-test Go: %d lines, %d code lines\n", n, c}'
 
 clean:
 	rm -rf bin

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/memreg"
 	"repro/internal/nio"
 	"repro/internal/rudp"
@@ -171,12 +172,13 @@ func TestUDPipelineStress(t *testing.T) {
 
 	variants := []struct {
 		name    string
-		cfg     simnet.Config
-		ordered bool // network delivers FIFO per peer (dups are adjacent)
+		cfg     simnet.Config   // the wire: loss
+		fault   faultnet.Config // each peer's sender: dup, reorder
+		ordered bool            // network delivers FIFO per peer (dups are adjacent)
 	}{
-		{"loss+dup/workers=1", simnet.Config{LossRate: 0.05, DupRate: 0.05, Seed: 7}, true},
-		{"loss+dup/workers=4", simnet.Config{LossRate: 0.05, DupRate: 0.05, Seed: 7}, true},
-		{"loss+reorder+dup/workers=4", simnet.Config{LossRate: 0.03, ReorderRate: 0.2, DupRate: 0.05, Seed: 11}, false},
+		{"loss+dup/workers=1", simnet.Config{LossRate: 0.05, Seed: 7}, faultnet.Config{DupRate: 0.05, Seed: 7}, true},
+		{"loss+dup/workers=4", simnet.Config{LossRate: 0.05, Seed: 7}, faultnet.Config{DupRate: 0.05, Seed: 7}, true},
+		{"loss+reorder+dup/workers=4", simnet.Config{LossRate: 0.03, Seed: 11}, faultnet.Config{ReorderRate: 0.2, DupRate: 0.05, Seed: 11}, false},
 	}
 	for _, v := range variants {
 		v := v
@@ -203,8 +205,16 @@ func TestUDPipelineStress(t *testing.T) {
 			}
 
 			var wg sync.WaitGroup
+			faulty := make([]*faultnet.Endpoint, peers)
 			for p := 0; p < peers; p++ {
-				nd := newUDNode(t, net, fmt.Sprintf("p%d", p), UDConfig{})
+				ep, err := net.OpenDatagram(fmt.Sprintf("p%d", p), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fc := v.fault
+				fc.Seed += int64(p)
+				faulty[p] = faultnet.Wrap(ep, fc)
+				nd := newUDNodeOn(t, faulty[p], UDConfig{})
 				wg.Add(1)
 				go func(nd *udNode, p int) {
 					defer wg.Done()
@@ -218,6 +228,11 @@ func TestUDPipelineStress(t *testing.T) {
 				}(nd, p)
 			}
 			wg.Wait()
+			// A held packet leaves only when a later send occurs: flush
+			// each peer's reordered tail.
+			for _, f := range faulty {
+				f.ReleaseHeld()
+			}
 
 			lastSeq := make(map[transport.Addr]int)
 			delivered := 0
@@ -246,7 +261,7 @@ func TestUDPipelineStress(t *testing.T) {
 			if delivered == 0 {
 				t.Fatal("nothing delivered")
 			}
-			t.Logf("delivered %d/%d (loss %.0f%%, dup %.0f%%)", delivered, peers*msgs, v.cfg.LossRate*100, v.cfg.DupRate*100)
+			t.Logf("delivered %d/%d (loss %.0f%%, dup %.0f%%)", delivered, peers*msgs, v.cfg.LossRate*100, v.fault.DupRate*100)
 		})
 	}
 }

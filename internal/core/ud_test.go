@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/crcx"
 	"repro/internal/ddp"
+	"repro/internal/faultnet"
 	"repro/internal/memreg"
 	"repro/internal/nio"
 	"repro/internal/rdmap"
@@ -32,6 +33,14 @@ func newUDNode(t *testing.T, n *simnet.Network, name string, cfg UDConfig) *udNo
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newUDNodeOn(t, ep, cfg)
+}
+
+// newUDNodeOn opens a node's verbs resources over an existing datagram
+// endpoint — typically a faultnet.Wrap of a simnet endpoint.
+func newUDNodeOn(t *testing.T, ep transport.Datagram, cfg UDConfig) *udNode {
+	t.Helper()
+	var err error
 	nd := &udNode{
 		pd:  memreg.NewPD(),
 		tbl: memreg.NewTable(),
@@ -44,6 +53,25 @@ func newUDNode(t *testing.T, n *simnet.Network, name string, cfg UDConfig) *udNo
 	}
 	t.Cleanup(func() { nd.qp.Close() })
 	return nd
+}
+
+// reordered reports whether a faultnet decision log shows a real reorder:
+// some packet delivered while an earlier one was held back.
+func reordered(lg *faultnet.Log) bool {
+	held := 0
+	for _, ev := range lg.Events() {
+		switch ev.Op {
+		case faultnet.OpHold:
+			held++
+		case faultnet.OpRelease:
+			held--
+		case faultnet.OpDeliver:
+			if held > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestUDSendRecvRoundTrip(t *testing.T) {
@@ -197,8 +225,13 @@ func TestUDWriteRecordSingleSegment(t *testing.T) {
 }
 
 func TestUDWriteRecordMultiSegmentReordered(t *testing.T) {
-	net := simnet.New(simnet.Config{ReorderRate: 0.5, Seed: 13})
-	a := newUDNode(t, net, "a", UDConfig{})
+	net := simnet.New(simnet.Config{})
+	ia, err := net.OpenDatagram("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := faultnet.Wrap(ia, faultnet.Config{ReorderRate: 0.5, Seed: 13})
+	a := newUDNodeOn(t, fa, UDConfig{})
 	b := newUDNode(t, net, "b", UDConfig{})
 
 	region, err := b.tbl.Register(b.pd, make([]byte, 300<<10), memreg.RemoteWrite)
@@ -209,6 +242,12 @@ func TestUDWriteRecordMultiSegmentReordered(t *testing.T) {
 	rand.New(rand.NewSource(5)).Read(payload)
 	if err := a.qp.PostWriteRecord(1, b.qp.LocalAddr(), region.STag(), 0, nio.VecOf(payload)); err != nil {
 		t.Fatal(err)
+	}
+	// A held segment leaves only when a later send occurs; the write is
+	// the last send, so flush its held tail.
+	fa.ReleaseHeld()
+	if !reordered(fa.Log()) {
+		t.Fatalf("segments were not reordered: %v", fa.Log().Tail(8))
 	}
 	re, err := b.rcq.Poll(2 * time.Second)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/memreg"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -51,9 +52,18 @@ func TestUDReadSmall(t *testing.T) {
 }
 
 func TestUDReadLargeMultiSegment(t *testing.T) {
-	net := simnet.New(simnet.Config{ReorderRate: 0.3, Seed: 8})
+	net := simnet.New(simnet.Config{})
 	a := newUDNode(t, net, "a", UDConfig{})
-	b := newUDNode(t, net, "b", UDConfig{})
+	ib, err := net.OpenDatagram("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Under this seed the responder's five segments arrive as 1 3 4 2 5.
+	// The read completes when the final segment arrives, so a segment
+	// still held behind it would complete the read partially — PostRead's
+	// contract under reordering, not what this test pins.
+	fb := faultnet.Wrap(ib, faultnet.Config{ReorderRate: 0.3, Seed: 18})
+	b := newUDNodeOn(t, fb, UDConfig{})
 
 	data := make([]byte, 300<<10) // several response segments
 	rand.New(rand.NewSource(6)).Read(data)
@@ -68,9 +78,14 @@ func TestUDReadLargeMultiSegment(t *testing.T) {
 	if err := a.qp.PostRead(1, b.qp.LocalAddr(), sink.STag(), 0, src.STag(), 0, len(data)); err != nil {
 		t.Fatal(err)
 	}
+	// A held segment leaves only when a later send occurs; under this seed
+	// the final segment is never held, so nothing needs flushing.
 	e, err := a.scq.Poll(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reordered(fb.Log()) {
+		t.Fatalf("responder's segments were not reordered: %v", fb.Log().Tail(8))
 	}
 	if e.Type != WTRead || !e.Ok() || e.ByteLen != len(data) {
 		t.Fatalf("CQE %+v", e)

@@ -27,7 +27,7 @@
 // (the previous 32-bit bitmap covered only half the window, and the
 // unSACKable upper half was spuriously retransmitted on every RTO even when
 // delivered). The flagECN bit is the congestion-signal plane: a simulated
-// switch (simnet/faultnet) sets it on a DATA frame via MarkCongestion, the
+// switch (faultnet) sets it on a DATA frame via MarkCongestion, the
 // receiver echoes it on its next ACK, and the sender answers the echo with
 // a multiplicative cwnd decrease. The CRC32C trailer covers everything
 // before it. It exists because this header is control plane: DDP's own CRC
@@ -526,10 +526,10 @@ func IsAckPacket(p []byte) bool { return len(p) == ackLen && p[0]&typeMask == ty
 // a simulated switch may rewrite it, but the receiver verifies the CRC
 // before the type byte, so the mark must be covered or the frame reads as
 // corrupt). Reports whether p was a markable DATA frame; ACKs and foreign
-// packets are left untouched. Exported as the Marker hook for simnet and
-// faultnet — the layers playing the ECN-capable switch. The caller must own
-// p exclusively (its private copy of the frame): marking a buffer the
-// sender retains for retransmission would race with the resend path.
+// packets are left untouched. Exported as the Marker hook for faultnet —
+// the layer playing the ECN-capable switch. The caller must own p
+// exclusively (its private copy of the frame): marking a buffer the sender
+// retains for retransmission would race with the resend path.
 func MarkCongestion(p []byte) bool {
 	if len(p) < headerLen+crcx.Size || p[0]&typeMask != typeData {
 		return false

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/crcx"
+	"repro/internal/faultnet"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -92,7 +93,20 @@ func TestDeliveryUnderHeavyLoss(t *testing.T) {
 }
 
 func TestDeliveryUnderReorderAndDup(t *testing.T) {
-	a, b := pair(t, simnet.Config{ReorderRate: 0.4, DupRate: 0.3, Seed: 5})
+	n := simnet.New(simnet.Config{})
+	ia, err := n.OpenDatagram("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := n.OpenDatagram("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both directions reorder and duplicate, so ACKs are impaired too.
+	fa := faultnet.Wrap(ia, faultnet.Config{ReorderRate: 0.4, DupRate: 0.3, Seed: 5})
+	fb := faultnet.Wrap(ib, faultnet.Config{ReorderRate: 0.4, DupRate: 0.3, Seed: 6})
+	a, b := New(fa), New(fb)
+	t.Cleanup(func() { a.Close(); b.Close() })
 	const count = 100
 	go func() {
 		for i := 0; i < count; i++ {
@@ -101,6 +115,9 @@ func TestDeliveryUnderReorderAndDup(t *testing.T) {
 				return
 			}
 		}
+		// A held packet leaves only when a later send occurs: flush the
+		// tail rather than wait for the RTO to push it out.
+		fa.ReleaseHeld()
 	}()
 	for i := 0; i < count; i++ {
 		got, _, err := b.Recv(5 * time.Second)

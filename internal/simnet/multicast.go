@@ -104,37 +104,18 @@ func (e *DatagramEndpoint) sendMulticast(p []byte, group transport.Addr) error {
 	if len(p) > nw.cfg.MaxDatagram {
 		return transport.ErrTooLarge
 	}
-	members := nw.members(group)
-	k := nw.fragments(len(p))
-	loss := nw.lossMicro.Load()
-	for _, dst := range members {
+	for _, dst := range nw.members(group) {
 		if dst == e {
 			continue
 		}
-		nw.sent.Inc()
-		nw.bytes.Add(int64(len(p)))
-		nw.frags.Add(int64(k))
-		dropped := false
-		for i := 0; i < k; i++ {
-			if nw.chance(loss) {
-				nw.lostMcast.Inc()
-				telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(dst.addr), len(p), telemetry.DropMcast)
-				dropped = true
-				break
-			}
-		}
-		if dropped {
+		if nw.lostOnWire(len(p), dst.addr, nw.lostMcast, telemetry.DropMcast) {
 			continue
 		}
 		buf := getPktBuf(len(p))
 		copy(buf, p)
-		reorder := nw.chance(nw.reorderMicro.Load())
-		if reorder {
-			nw.reorder.Inc()
-		}
 		// Multicast is unreliable per member: a closed member queue drops
 		// the copy like loss on the wire. Count it and recycle the buffer.
-		if err := dst.q.put(packet{payload: buf, from: e.addr}, reorder); err != nil {
+		if err := dst.q.put(packet{payload: buf, from: e.addr}); err != nil {
 			nw.lostMcast.Inc()
 			telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(dst.addr), len(p), telemetry.DropMcast)
 			putPktBuf(buf)

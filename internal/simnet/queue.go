@@ -14,8 +14,8 @@ type packet struct {
 }
 
 // queue is a bounded FIFO of packets supporting blocking put with
-// backpressure, timed get, reorder-insertion, and close. It is the receive
-// queue of a simulated socket.
+// backpressure, timed get, and close. It is the receive queue of a
+// simulated socket.
 type queue struct {
 	mu     sync.Mutex
 	q      []packet
@@ -42,11 +42,9 @@ func pulse(ch chan struct{}) {
 	}
 }
 
-// put appends pkt, blocking while the queue is full. With reorder set and at
-// least one packet queued, the packet is inserted one position early,
-// modelling adjacent-packet reordering. Returns transport.ErrClosed if the
-// queue closes.
-func (q *queue) put(pkt packet, reorder bool) error {
+// put appends pkt, blocking while the queue is full. Returns
+// transport.ErrClosed if the queue closes.
+func (q *queue) put(pkt packet) error {
 	for {
 		q.mu.Lock()
 		if q.closed {
@@ -54,13 +52,7 @@ func (q *queue) put(pkt packet, reorder bool) error {
 			return transport.ErrClosed
 		}
 		if len(q.q) < q.cap {
-			if reorder && len(q.q) > 0 {
-				last := len(q.q) - 1
-				q.q = append(q.q, q.q[last])
-				q.q[last] = pkt
-			} else {
-				q.q = append(q.q, pkt)
-			}
+			q.q = append(q.q, pkt)
 			q.mu.Unlock()
 			pulse(q.avail)
 			return nil

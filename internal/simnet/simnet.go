@@ -12,11 +12,15 @@
 //     the cliff in Figures 7 and 8;
 //   - a 64 KB maximum datagram: messages beyond it need several datagrams,
 //     which is where Write-Record's partial placement starts to win;
-//   - independent Bernoulli loss per fragment at a configurable rate, plus
-//     optional reordering and duplication (datagram mode only — streams are
-//     reliable and ordered, like TCP);
-//   - bounded receive queues with sender backpressure, like loopback socket
-//     buffers.
+//   - independent Bernoulli loss per fragment at a configurable rate
+//     (datagram mode only — streams are reliable and ordered, like TCP);
+//   - an optional one-way latency, IP multicast groups, and bounded receive
+//     queues with sender backpressure, like loopback socket buffers.
+//
+// simnet is only the wire. Every other impairment — burst loss, reordering,
+// duplication, corruption, ECN congestion marks, partitions — is injected
+// by wrapping an endpoint in faultnet.Wrap, whose decisions are logged and
+// replayable from a seed.
 //
 // All randomness is drawn from a single seeded source, so every experiment
 // is reproducible.
@@ -41,20 +45,6 @@ type Config struct {
 	MaxDatagram int
 	// LossRate is the per-fragment drop probability in [0, 1).
 	LossRate float64
-	// ReorderRate is the probability a datagram is delivered behind the
-	// next one.
-	ReorderRate float64
-	// DupRate is the probability a datagram is delivered twice.
-	DupRate float64
-	// MarkRate is the probability a datagram is stamped with a congestion
-	// mark by Marker — the simulated analogue of an ECN-capable switch
-	// marking instead of dropping. No-op unless Marker is set.
-	MarkRate float64
-	// Marker rewrites a datagram in place to carry a congestion signal and
-	// reports whether it applied (rudp.MarkCongestion marks DATA frames and
-	// re-stamps their CRC; non-markable packets pass unchanged). It is
-	// called on the simulator's own pooled copy, never the caller's buffer.
-	Marker func(p []byte) bool
 	// Latency is an optional one-way delivery delay.
 	Latency time.Duration
 	// QueueLen bounds each endpoint's receive queue in packets
@@ -63,7 +53,7 @@ type Config struct {
 	// StreamBufSize sets each direction's stream buffering in bytes
 	// (default DefaultStreamBufSize) — the simulated SO_SNDBUF/SO_RCVBUF.
 	StreamBufSize int
-	// Seed seeds the loss/reorder/duplication RNG (default 1).
+	// Seed seeds the loss RNG (default 1).
 	Seed int64
 }
 
@@ -89,16 +79,13 @@ func (c Config) withDefaults() Config {
 // DatagramsLost their sum, so experiments can attribute loss instead of
 // guessing.
 type Counters struct {
-	DatagramsSent    int64
-	DatagramsLost    int64
-	LostLoss         int64 // Bernoulli wire loss (unicast legs)
-	LostLatency      int64 // latency-delayed packet found its destination closed
-	LostMcast        int64 // multicast legs lost (wire loss or closed member)
-	DatagramsDup     int64
-	DatagramsReorder int64
-	DatagramsMarked  int64 // congestion marks applied by Config.Marker
-	FragmentsSent    int64
-	BytesSent        int64
+	DatagramsSent int64
+	DatagramsLost int64
+	LostLoss      int64 // Bernoulli wire loss (unicast legs)
+	LostLatency   int64 // latency-delayed packet found its destination closed
+	LostMcast     int64 // multicast legs lost (wire loss or closed member)
+	FragmentsSent int64
+	BytesSent     int64
 }
 
 // Network is a simulated network segment. All endpoints opened on it can
@@ -109,10 +96,7 @@ type Network struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	lossMicro    atomic.Int64 // LossRate * 1e6, runtime-adjustable
-	reorderMicro atomic.Int64
-	dupMicro     atomic.Int64
-	markMicro    atomic.Int64
+	lossMicro atomic.Int64 // LossRate * 1e6, runtime-adjustable
 
 	mu        sync.Mutex
 	dgram     map[transport.Addr]*DatagramEndpoint
@@ -124,9 +108,8 @@ type Network struct {
 
 	// Traffic counters are telemetry-registry handles (DESIGN.md §4.6),
 	// with loss accounted per cause.
-	sent, dup, reorder, frags, bytes *telemetry.Counter
+	sent, frags, bytes               *telemetry.Counter
 	lostLoss, lostLatency, lostMcast *telemetry.Counter
-	marked                           *telemetry.Counter
 }
 
 // New creates a network with the given configuration.
@@ -140,18 +123,12 @@ func New(cfg Config) *Network {
 		nextPort:  make(map[string]uint16),
 	}
 	n.lossMicro.Store(int64(cfg.LossRate * 1e6))
-	n.reorderMicro.Store(int64(cfg.ReorderRate * 1e6))
-	n.dupMicro.Store(int64(cfg.DupRate * 1e6))
-	n.markMicro.Store(int64(cfg.MarkRate * 1e6))
 	n.sent = telemetry.Default.Counter("diwarp_simnet_datagrams_sent_total")
-	n.dup = telemetry.Default.Counter("diwarp_simnet_dup_total")
-	n.reorder = telemetry.Default.Counter("diwarp_simnet_reorder_total")
 	n.frags = telemetry.Default.Counter("diwarp_simnet_fragments_total")
 	n.bytes = telemetry.Default.Counter("diwarp_simnet_bytes_sent_total")
 	n.lostLoss = telemetry.Default.Counter("diwarp_simnet_drop_loss_total")
 	n.lostLatency = telemetry.Default.Counter("diwarp_simnet_drop_latency_total")
 	n.lostMcast = telemetry.Default.Counter("diwarp_simnet_drop_mcast_total")
-	n.marked = telemetry.Default.Counter("diwarp_simnet_marked_total")
 	return n
 }
 
@@ -159,43 +136,17 @@ func New(cfg Config) *Network {
 // benchmark harness sweeps it the way the paper swept tc/netem rates.
 func (n *Network) SetLossRate(p float64) { n.lossMicro.Store(int64(p * 1e6)) }
 
-// SetReorderRate changes the reorder probability at runtime.
-func (n *Network) SetReorderRate(p float64) { n.reorderMicro.Store(int64(p * 1e6)) }
-
-// SetDupRate changes the duplication probability at runtime.
-func (n *Network) SetDupRate(p float64) { n.dupMicro.Store(int64(p * 1e6)) }
-
-// SetMarkRate changes the congestion-mark probability at runtime; the
-// goodput harness ramps it the way a switch's RED/ECN threshold engages as
-// its queue fills.
-func (n *Network) SetMarkRate(p float64) { n.markMicro.Store(int64(p * 1e6)) }
-
-// maybeMark stamps the simulator-owned buffer with Config.Marker at the
-// configured rate. Called only on pooled copies: the marker rewrites bytes
-// (flag bit + CRC trailer), which must never touch a caller's buffer.
-func (n *Network) maybeMark(buf []byte) {
-	if n.cfg.Marker == nil || !n.chance(n.markMicro.Load()) {
-		return
-	}
-	if n.cfg.Marker(buf) {
-		n.marked.Inc()
-	}
-}
-
 // Counters returns a snapshot of traffic statistics.
 func (n *Network) Counters() Counters {
 	loss, lat, mc := n.lostLoss.Load(), n.lostLatency.Load(), n.lostMcast.Load()
 	return Counters{
-		DatagramsSent:    n.sent.Load(),
-		DatagramsLost:    loss + lat + mc,
-		LostLoss:         loss,
-		LostLatency:      lat,
-		LostMcast:        mc,
-		DatagramsDup:     n.dup.Load(),
-		DatagramsReorder: n.reorder.Load(),
-		DatagramsMarked:  n.marked.Load(),
-		FragmentsSent:    n.frags.Load(),
-		BytesSent:        n.bytes.Load(),
+		DatagramsSent: n.sent.Load(),
+		DatagramsLost: loss + lat + mc,
+		LostLoss:      loss,
+		LostLatency:   lat,
+		LostMcast:     mc,
+		FragmentsSent: n.frags.Load(),
+		BytesSent:     n.bytes.Load(),
 	}
 }
 
@@ -248,6 +199,27 @@ func (n *Network) fragments(sz int) int {
 	return (sz + fp - 1) / fp
 }
 
+// lostOnWire puts one datagram of size bytes bound for to on the wire: it
+// accounts the send, then rolls the loss model once per fragment. Losing any
+// fragment kills the datagram, because IP reassembly cannot complete; the
+// loss is counted on lost and traced with cause. A lost datagram was still
+// handed to the network, so it still counts as sent.
+func (n *Network) lostOnWire(size int, to transport.Addr, lost *telemetry.Counter, cause uint32) bool {
+	n.sent.Inc()
+	n.bytes.Add(int64(size))
+	k := n.fragments(size)
+	n.frags.Add(int64(k))
+	loss := n.lossMicro.Load()
+	for i := 0; i < k; i++ {
+		if n.chance(loss) {
+			lost.Inc()
+			telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), size, cause)
+			return true
+		}
+	}
+	return false
+}
+
 // OpenDatagram binds a datagram endpoint on node (port 0 auto-allocates).
 func (n *Network) OpenDatagram(node string, port uint16) (*DatagramEndpoint, error) {
 	n.mu.Lock()
@@ -296,10 +268,11 @@ var (
 	_ transport.RecvPoolStats = (*DatagramEndpoint)(nil)
 )
 
-// SendTo implements transport.Datagram. The payload is copied, fragmented
-// against the MTU, subjected to the loss/duplication/reordering models, and
-// enqueued at the destination. Blocks only when the destination queue is
-// full (socket-buffer backpressure).
+// SendTo implements transport.Datagram. The payload is fragmented against
+// the MTU, subjected to the loss model, copied into a pooled buffer and
+// enqueued at the destination — after Config.Latency when one is set.
+// Blocks only when the destination queue is full (socket-buffer
+// backpressure).
 func (e *DatagramEndpoint) SendTo(p []byte, to transport.Addr) error {
 	nw := e.net
 	if IsGroupAddr(to) {
@@ -312,68 +285,34 @@ func (e *DatagramEndpoint) SendTo(p []byte, to transport.Addr) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", transport.ErrNoRoute, to)
 	}
-	nw.sent.Inc()
-	nw.bytes.Add(int64(len(p)))
-	k := nw.fragments(len(p))
-	nw.frags.Add(int64(k))
-	// Loss is per wire fragment; losing any fragment kills the datagram
-	// because IP reassembly cannot complete.
-	loss := nw.lossMicro.Load()
-	for i := 0; i < k; i++ {
-		if nw.chance(loss) {
-			nw.lostLoss.Inc()
-			telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), len(p), telemetry.DropLoss)
-			return nil // silently dropped, like a real lossy network
-		}
+	if nw.lostOnWire(len(p), to, nw.lostLoss, telemetry.DropLoss) {
+		return nil // silently dropped, like a real lossy network
 	}
-	deliver := func(pk packet) error {
-		reorder := nw.chance(nw.reorderMicro.Load())
-		if reorder {
-			nw.reorder.Inc()
-		}
-		if err := dst.q.put(pk, reorder); err != nil {
+	pk := packet{payload: getPktBuf(len(p)), from: e.addr}
+	copy(pk.payload, p)
+	if nw.cfg.Latency <= 0 {
+		if err := dst.q.put(pk); err != nil {
+			putPktBuf(pk.payload)
 			return fmt.Errorf("%w: %s", transport.ErrNoRoute, to)
 		}
 		return nil
 	}
-	send := func(pk packet) error {
-		if nw.cfg.Latency > 0 {
-			time.AfterFunc(nw.cfg.Latency, func() {
-				// The sender returned long ago; a delivery failure here
-				// (destination queue closed mid-flight) is a lost packet.
-				// Count it and recycle the buffer nobody will consume.
-				if err := deliver(pk); err != nil {
-					nw.lostLatency.Inc()
-					telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), len(pk.payload), telemetry.DropLatency)
-					putPktBuf(pk.payload)
-				}
-			})
-			return nil
+	time.AfterFunc(nw.cfg.Latency, func() {
+		// The sender returned long ago; a delivery failure here
+		// (destination queue closed mid-flight) is a lost packet. Count it
+		// and recycle the buffer nobody will consume.
+		if err := dst.q.put(pk); err != nil {
+			nw.lostLatency.Inc()
+			telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), len(pk.payload), telemetry.DropLatency)
+			putPktBuf(pk.payload)
 		}
-		return deliver(pk)
-	}
-	buf := getPktBuf(len(p))
-	copy(buf, p)
-	nw.maybeMark(buf)
-	if err := send(packet{payload: buf, from: e.addr}); err != nil {
-		return err
-	}
-	if nw.chance(nw.dupMicro.Load()) {
-		nw.dup.Inc()
-		// The duplicate needs its own buffer: the receiver may recycle the
-		// first copy's storage before consuming the second.
-		dupBuf := getPktBuf(len(p))
-		copy(dupBuf, p)
-		// Its own mark draw too: each wire traversal meets the queue anew.
-		nw.maybeMark(dupBuf)
-		return send(packet{payload: dupBuf, from: e.addr})
-	}
+	})
 	return nil
 }
 
 // SendBatch implements transport.BatchSender: the whole burst is subjected
-// to the per-datagram impairment models, copied into pooled packet buffers,
-// and enqueued at the destination under a single queue lock — the simulated
+// to the per-datagram loss model, copied into pooled packet buffers, and
+// enqueued at the destination under a single queue lock — the simulated
 // analogue of a sendmmsg burst. Multicast destinations and latency-shaped
 // networks fall back to per-packet SendTo (both deliver asynchronously, so
 // there is no shared lock to amortize).
@@ -396,57 +335,21 @@ func (e *DatagramEndpoint) SendBatch(pkts [][]byte, to transport.Addr) (int, err
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", transport.ErrNoRoute, to)
 	}
-	loss := nw.lossMicro.Load()
 	batch := make([]packet, 0, len(pkts))
 	orig := make([]int, 0, len(pkts)) // source datagram index per batch slot
 	for i, p := range pkts {
-		nw.sent.Inc()
-		nw.bytes.Add(int64(len(p)))
-		k := nw.fragments(len(p))
-		nw.frags.Add(int64(k))
-		dropped := false
-		for f := 0; f < k; f++ {
-			if nw.chance(loss) {
-				nw.lostLoss.Inc()
-				telemetry.DefaultTrace.Record(telemetry.EvDrop, telemetry.PeerToken(to), len(p), telemetry.DropLoss)
-				dropped = true
-				break
-			}
-		}
-		if dropped {
-			continue // handed to the network and lost there: still "sent"
+		if nw.lostOnWire(len(p), to, nw.lostLoss, telemetry.DropLoss) {
+			continue
 		}
 		buf := getPktBuf(len(p))
 		copy(buf, p)
-		nw.maybeMark(buf)
-		pk := packet{payload: buf, from: e.addr}
-		if nw.chance(nw.reorderMicro.Load()) && len(batch) > 0 {
-			nw.reorder.Inc()
-			last := len(batch) - 1
-			batch = append(batch, batch[last])
-			orig = append(orig, orig[last])
-			batch[last] = pk
-			orig[last] = i
-		} else {
-			batch = append(batch, pk)
-			orig = append(orig, i)
-		}
-		if nw.chance(nw.dupMicro.Load()) {
-			nw.dup.Inc()
-			dupBuf := getPktBuf(len(p))
-			copy(dupBuf, p)
-			nw.maybeMark(dupBuf)
-			batch = append(batch, packet{payload: dupBuf, from: e.addr})
-			orig = append(orig, i)
-		}
+		batch = append(batch, packet{payload: buf, from: e.addr})
+		orig = append(orig, i)
 	}
 	enq, err := dst.q.putBatch(batch)
 	if err != nil {
-		// The queue closed part-way through: the unenqueued tail's pooled
-		// buffers have no consumer left, so recycle them here.
-		for _, pk := range batch[enq:] {
-			putPktBuf(pk.payload)
-		}
+		// putBatch recycled the unenqueued tail's buffers; report how many
+		// source datagrams made it in.
 		sent := 0
 		if enq > 0 {
 			sent = orig[enq-1] + 1

@@ -207,39 +207,6 @@ func TestSetLossRateRuntime(t *testing.T) {
 	}
 }
 
-func TestDuplication(t *testing.T) {
-	n := New(Config{DupRate: 1.0})
-	a, _ := n.OpenDatagram("a", 0)
-	b, _ := n.OpenDatagram("b", 0)
-	if err := a.SendTo([]byte("twice"), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		got, _, err := b.Recv(time.Second)
-		if err != nil || string(got) != "twice" {
-			t.Fatalf("copy %d: %q %v", i, got, err)
-		}
-	}
-}
-
-func TestReordering(t *testing.T) {
-	n := New(Config{ReorderRate: 1.0})
-	a, _ := n.OpenDatagram("a", 0)
-	b, _ := n.OpenDatagram("b", 0)
-	// With reorder probability 1, the second datagram jumps the first.
-	if err := a.SendTo([]byte("first"), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendTo([]byte("second"), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	got1, _, _ := b.Recv(time.Second)
-	got2, _, _ := b.Recv(time.Second)
-	if string(got1) != "second" || string(got2) != "first" {
-		t.Fatalf("order = %q, %q", got1, got2)
-	}
-}
-
 func TestLatencyDelay(t *testing.T) {
 	n := New(Config{Latency: 30 * time.Millisecond})
 	a, _ := n.OpenDatagram("a", 0)

@@ -146,7 +146,7 @@ func (h *streamHalf) Write(p []byte) (int, error) {
 		copy(seg[segHdrLen:], p[:n])
 		cs := inetChecksum(seg[2:])
 		seg[0], seg[1] = byte(cs>>8), byte(cs)
-		if err := h.q.put(packet{payload: seg}, false); err != nil {
+		if err := h.q.put(packet{payload: seg}); err != nil {
 			putPktBuf(seg)
 			return total, transport.ErrClosed
 		}

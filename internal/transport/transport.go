@@ -5,9 +5,10 @@
 //
 // Three interchangeable LLP families implement these interfaces:
 //
-//   - package simnet: an in-process simulated network with configurable MTU,
-//     loss, reordering and duplication (stands in for the testbed + tc/netem
-//     loss injection used in the paper's evaluation);
+//   - package simnet: an in-process simulated network with configurable MTU
+//     and per-fragment loss (stands in for the testbed + tc/netem loss
+//     injection used in the paper's evaluation); package faultnet wraps any
+//     Datagram to add reordering, duplication and the other faults;
 //   - this package's udp.go / tcp.go: real kernel sockets, used by the
 //     cmd/iwarpd demo daemon and available to all benchmarks;
 //   - package rudp: a reliable-datagram layer (the paper's "reliable UDP"
