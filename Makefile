@@ -77,8 +77,12 @@ bench-e2e:
 # Boot the daemon over a 1%-lossy simnet, scrape its own /metrics, and
 # fail unless the datapath counters show traffic, loss, and rudp recovery
 # (DESIGN.md §4.6). Exits non-zero if any asserted counter is missing or 0.
+# Then, under the race detector: telemetry.Scope lifetimes, the socket
+# open/close churn that must leave no handle or heap behind, and the
+# telemetry-imports-nothing leaf check.
 telemetry-smoke:
 	$(GO) run ./cmd/iwarpd -sim -loss 0.01 -duration 2s -metrics 127.0.0.1:0 -smoke-scrape
+	$(GO) test -race -count=1 -run 'Scope|Churn|Leaf' ./internal/telemetry ./internal/sockif
 
 # Message-layer workload gate (DESIGN.md §4.11): a small simnet tensor mix
 # through cmd/tensorbench that must deliver every tensor with nonzero

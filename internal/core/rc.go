@@ -61,8 +61,10 @@ type RCQP struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	// Counters are registry handles (DESIGN.md §4.6): per-QP exact reads
-	// via Stats(), summed across QPs for the process scrape.
+	// Counters are handles in the QP's scope (DESIGN.md §4.6): per-QP
+	// exact reads via Stats(), summed across QPs for the process scrape,
+	// retired by Close.
+	scope *telemetry.Scope
 	stats struct {
 		msgsSent, msgsRecv, bytesSent, bytesRecv *telemetry.Counter
 		placed, placeErr                         *telemetry.Counter
@@ -119,13 +121,14 @@ func newRCQP(conn *mpa.Conn, pd *memreg.PD, tbl *memreg.Table, sendCQ, recvCQ *C
 		recvCQ: recvCQ,
 		cfg:    cfg,
 		rq:     newRecvQueue(cfg.RecvDepth),
+		scope:  telemetry.Default.Scope(),
 	}
-	qp.stats.msgsSent = telemetry.Default.Counter("diwarp_rc_msgs_sent_total")
-	qp.stats.msgsRecv = telemetry.Default.Counter("diwarp_rc_msgs_recv_total")
-	qp.stats.bytesSent = telemetry.Default.Counter("diwarp_rc_bytes_sent_total")
-	qp.stats.bytesRecv = telemetry.Default.Counter("diwarp_rc_bytes_recv_total")
-	qp.stats.placed = telemetry.Default.Counter("diwarp_rc_placed_segments_total")
-	qp.stats.placeErr = telemetry.Default.Counter("diwarp_rc_place_errors_total")
+	qp.stats.msgsSent = qp.scope.Counter("diwarp_rc_msgs_sent_total")
+	qp.stats.msgsRecv = qp.scope.Counter("diwarp_rc_msgs_recv_total")
+	qp.stats.bytesSent = qp.scope.Counter("diwarp_rc_bytes_sent_total")
+	qp.stats.bytesRecv = qp.scope.Counter("diwarp_rc_bytes_recv_total")
+	qp.stats.placed = qp.scope.Counter("diwarp_rc_placed_segments_total")
+	qp.stats.placeErr = qp.scope.Counter("diwarp_rc_place_errors_total")
 	qp.wg.Add(1)
 	go qp.recvLoop()
 	return qp, nil
@@ -475,5 +478,6 @@ func (qp *RCQP) Close() error {
 			qp.recvCQ.post(CQE{WRID: wr.ID, Type: WTRecv, Status: StatusFlushed, Err: ErrQPClosed})
 		}
 	}
+	qp.scope.Close()
 	return err
 }

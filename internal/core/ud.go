@@ -100,8 +100,10 @@ type UDQP struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// Datapath counters are registry handles (DESIGN.md §4.6): Stats()
-	// reads this QP's handles exactly; the process scrape sums all QPs.
+	// Datapath counters are handles in the QP's scope (DESIGN.md §4.6):
+	// Stats() reads this QP's handles exactly; the process scrape sums all
+	// QPs. Close retires them with the QP.
+	scope *telemetry.Scope
 	stats struct {
 		msgsSent, msgsRecv, bytesSent, bytesRecv          *telemetry.Counter
 		recvDropped, placed, placeErr, reassembled, swept *telemetry.Counter
@@ -163,24 +165,17 @@ type udClaim struct {
 	born    time.Time
 }
 
-// shardOf maps a source peer to a placement worker: FNV-1a over the node
-// name and port. All traffic from one peer lands on one worker — the
-// ordering invariant the completion semantics need — while independent
-// peers spread across the pool.
+// shardOf maps a source peer to a placement worker by the stack's peer
+// hash (transport.Addr.Hash). All traffic from one peer lands on one
+// worker — the ordering invariant the completion semantics need — while
+// independent peers spread across the pool.
 //
 //diwarp:hotpath
 func shardOf(from transport.Addr, n int) int {
 	if n == 1 {
 		return 0
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(from.Node); i++ {
-		h ^= uint32(from.Node[i])
-		h *= 16777619
-	}
-	h ^= uint32(from.Port)
-	h *= 16777619
-	return int(h % uint32(n))
+	return int(from.Hash() % uint32(n))
 }
 
 // wrKey identifies one in-flight Write-Record message at the target.
@@ -189,13 +184,9 @@ type wrKey struct {
 	msn  uint32
 }
 
-// hashWrKey shards the tracker tables by peer and MSN with the same FNV-1a
-// discipline as every other peer table in the stack.
-func hashWrKey(k wrKey) uint32 {
-	h := peertab.HashString(peertab.Seed(), k.from.Node)
-	h = peertab.HashUint32(h, uint32(k.from.Port))
-	return peertab.HashUint32(h, k.msn)
-}
+// hashWrKey shards the tracker tables by peer and MSN, extending the
+// stack's peer hash.
+func hashWrKey(k wrKey) uint32 { return peertab.HashUint32(k.from.Hash(), k.msn) }
 
 // wrTracker accumulates placement state for a multi-segment Write-Record
 // message until its Last segment arrives (or it is swept).
@@ -216,6 +207,7 @@ func OpenUD(ep transport.Datagram, pd *memreg.PD, tbl *memreg.Table, sendCQ, rec
 	if ep == nil || pd == nil || tbl == nil || sendCQ == nil || recvCQ == nil {
 		return nil, fmt.Errorf("%w: nil argument", ErrBadWR)
 	}
+	sc := telemetry.Default.Scope()
 	qp := &UDQP{
 		pd:           pd,
 		tbl:          tbl,
@@ -224,22 +216,23 @@ func OpenUD(ep transport.Datagram, pd *memreg.PD, tbl *memreg.Table, sendCQ, rec
 		recvCQ:       recvCQ,
 		cfg:          cfg,
 		rq:           newRecvQueue(cfg.RecvDepth),
-		records:      peertab.New[wrKey, wrTracker](hashWrKey, peertab.Options{}),
-		pendingReads: peertab.New[wrKey, pendingUDRead](hashWrKey, peertab.Options{}),
+		scope:        sc,
+		records:      peertab.New[wrKey, wrTracker](sc, hashWrKey, peertab.Options{}),
+		pendingReads: peertab.New[wrKey, pendingUDRead](sc, hashWrKey, peertab.Options{}),
 	}
 	qp.workers = make([]*udWorker, cfg.recvWorkers())
 	for i := range qp.workers {
 		qp.workers[i] = &udWorker{claims: make(map[claimKey]*udClaim)}
 	}
-	qp.stats.msgsSent = telemetry.Default.Counter("diwarp_ud_msgs_sent_total")
-	qp.stats.msgsRecv = telemetry.Default.Counter("diwarp_ud_msgs_recv_total")
-	qp.stats.bytesSent = telemetry.Default.Counter("diwarp_ud_bytes_sent_total")
-	qp.stats.bytesRecv = telemetry.Default.Counter("diwarp_ud_bytes_recv_total")
-	qp.stats.recvDropped = telemetry.Default.Counter("diwarp_ud_recv_dropped_total")
-	qp.stats.placed = telemetry.Default.Counter("diwarp_ud_placed_segments_total")
-	qp.stats.placeErr = telemetry.Default.Counter("diwarp_ud_place_errors_total")
-	qp.stats.reassembled = telemetry.Default.Counter("diwarp_ud_reassembled_total")
-	qp.stats.swept = telemetry.Default.Counter("diwarp_ud_swept_total")
+	qp.stats.msgsSent = sc.Counter("diwarp_ud_msgs_sent_total")
+	qp.stats.msgsRecv = sc.Counter("diwarp_ud_msgs_recv_total")
+	qp.stats.bytesSent = sc.Counter("diwarp_ud_bytes_sent_total")
+	qp.stats.bytesRecv = sc.Counter("diwarp_ud_bytes_recv_total")
+	qp.stats.recvDropped = sc.Counter("diwarp_ud_recv_dropped_total")
+	qp.stats.placed = sc.Counter("diwarp_ud_placed_segments_total")
+	qp.stats.placeErr = sc.Counter("diwarp_ud_place_errors_total")
+	qp.stats.reassembled = sc.Counter("diwarp_ud_reassembled_total")
+	qp.stats.swept = sc.Counter("diwarp_ud_swept_total")
 	qp.done = make(chan struct{})
 	qp.wg.Add(2)
 	// One worker means the demux goroutine places inline: no inbox, no
@@ -766,5 +759,6 @@ func (qp *UDQP) Close() error {
 	close(qp.done)
 	err := qp.ch.Close()
 	qp.wg.Wait()
+	qp.scope.Close()
 	return err
 }

@@ -58,9 +58,11 @@ type DatagramChannel struct {
 	lastPoolHits   int64
 	lastPoolMisses int64
 
-	// Channel counters live on the telemetry registry (DESIGN.md §4.6):
-	// each channel's handles are exact for SendStats, and the registry
-	// aggregates every channel for the process-wide scrape.
+	// Channel counters live in the channel's telemetry scope (DESIGN.md
+	// §4.6): each channel's handles are exact for SendStats, the registry
+	// aggregates every channel for the process-wide scrape, and Close
+	// retires them.
+	scope         *telemetry.Scope
 	batches       *telemetry.Counter   // SendBatch bursts issued
 	segments      *telemetry.Counter   // wire segments emitted (batched or not)
 	crcFail       *telemetry.Counter   // inbound segments dropped on CRC/parse
@@ -96,19 +98,21 @@ type recvScratch struct {
 // NewDatagramChannel wraps a datagram endpoint (raw simnet/UDP for UD, or
 // an rudp.Endpoint for the reliable-datagram mode).
 func NewDatagramChannel(ep transport.Datagram) *DatagramChannel {
+	sc := telemetry.Default.Scope()
 	ch := &DatagramChannel{
 		ep:            ep,
 		pool:          nio.NewPool(ep.MaxDatagram()),
-		batches:       telemetry.Default.Counter("diwarp_ddp_batches_total"),
-		segments:      telemetry.Default.Counter("diwarp_ddp_segments_total"),
-		crcFail:       telemetry.Default.Counter("diwarp_ddp_crc_fail_total"),
-		batchHist:     telemetry.Default.Histogram("diwarp_ddp_batch_segments"),
-		recvBatches:   telemetry.Default.Counter("diwarp_ddp_recv_batches_total"),
-		recvSegments:  telemetry.Default.Counter("diwarp_ddp_recv_segments_total"),
-		recvBatchHist: telemetry.Default.Histogram("diwarp_ddp_recv_batch_segments"),
-		recycled:      telemetry.Default.Counter("diwarp_ddp_recycled_total"),
-		recvPoolHit:   telemetry.Default.Counter("diwarp_ddp_recv_pool_hits_total"),
-		recvPoolMiss:  telemetry.Default.Counter("diwarp_ddp_recv_pool_misses_total"),
+		scope:         sc,
+		batches:       sc.Counter("diwarp_ddp_batches_total"),
+		segments:      sc.Counter("diwarp_ddp_segments_total"),
+		crcFail:       sc.Counter("diwarp_ddp_crc_fail_total"),
+		batchHist:     sc.Histogram("diwarp_ddp_batch_segments"),
+		recvBatches:   sc.Counter("diwarp_ddp_recv_batches_total"),
+		recvSegments:  sc.Counter("diwarp_ddp_recv_segments_total"),
+		recvBatchHist: sc.Histogram("diwarp_ddp_recv_batch_segments"),
+		recycled:      sc.Counter("diwarp_ddp_recycled_total"),
+		recvPoolHit:   sc.Counter("diwarp_ddp_recv_pool_hits_total"),
+		recvPoolMiss:  sc.Counter("diwarp_ddp_recv_pool_misses_total"),
 	}
 	ch.batch, _ = ep.(transport.BatchSender)
 	ch.brecv, _ = ep.(transport.BatchRecver)
@@ -142,7 +146,10 @@ func (ch *DatagramChannel) Endpoint() transport.Datagram { return ch.ep }
 func (ch *DatagramChannel) LocalAddr() transport.Addr { return ch.ep.LocalAddr() }
 
 // Close closes the underlying endpoint.
-func (ch *DatagramChannel) Close() error { return ch.ep.Close() }
+func (ch *DatagramChannel) Close() error {
+	defer ch.scope.Close()
+	return ch.ep.Close()
+}
 
 // SendStats reports the channel's send-side counters: bursts handed to the
 // LLP's BatchSender, total wire segments emitted, and the segment-buffer

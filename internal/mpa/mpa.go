@@ -102,9 +102,10 @@ type Conn struct {
 	sendBufCap atomic.Int64
 	recvBufCap atomic.Int64
 
-	// crcFail counts FPDUs rejected on CRC, on the telemetry registry
-	// (DESIGN.md §4.6). On RC a CRC failure is fatal to the connection, so
-	// a non-zero count pairs with a torn-down QP.
+	// crcFail counts FPDUs rejected on CRC, in the connection's telemetry
+	// scope (DESIGN.md §4.6). On RC a CRC failure is fatal to the
+	// connection, so a non-zero count pairs with a torn-down QP.
+	scope   *telemetry.Scope
 	crcFail *telemetry.Counter
 }
 
@@ -113,11 +114,13 @@ type Conn struct {
 // is what Connect/Accept negotiate.
 func NewConn(s transport.Stream, cfg Config) *Conn {
 	cfg = cfg.withDefaults()
+	sc := telemetry.Default.Scope()
 	return &Conn{
 		stream:  s,
 		cfg:     cfg,
 		rd:      s,
-		crcFail: telemetry.Default.Counter("diwarp_mpa_crc_fail_total"),
+		scope:   sc,
+		crcFail: sc.Counter("diwarp_mpa_crc_fail_total"),
 	}
 }
 
@@ -135,8 +138,12 @@ func (c *Conn) BufferFootprint() int64 {
 	return c.sendBufCap.Load() + c.recvBufCap.Load()
 }
 
-// Close closes the underlying stream.
-func (c *Conn) Close() error { return c.stream.Close() }
+// Close closes the underlying stream and retires the connection's
+// telemetry.
+func (c *Conn) Close() error {
+	defer c.scope.Close()
+	return c.stream.Close()
+}
 
 // Send frames one ULPDU (given as a gather vector) into an FPDU, inserts
 // any markers that fall within it, and writes it to the stream.

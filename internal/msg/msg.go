@@ -285,12 +285,12 @@ type inboundRdv struct {
 	staleSweeps int
 }
 
-// metrics is the process-wide diwarp_msg_* telemetry, shared by every
-// endpoint.
+// metrics is an endpoint's diwarp_msg_* telemetry, registered in its scope:
+// Stats reads these handles exactly, the process scrape sums endpoints.
 type metrics struct {
 	eagerSent, eagerRecv   *telemetry.Counter
 	rdvSent, rdvRecv       *telemetry.Counter
-	eagerBytes, rdvBytes   *telemetry.Counter
+	eagerBytes, rdvBytes   *telemetry.Counter // both directions
 	creditStalls           *telemetry.Counter
 	creditReclaims         *telemetry.Counter
 	creditsSent            *telemetry.Counter
@@ -301,34 +301,25 @@ type metrics struct {
 	rdvOpen                *telemetry.Gauge
 }
 
-var (
-	metOnce sync.Once
-	met     *metrics
-)
-
-func getMetrics() *metrics {
-	metOnce.Do(func() {
-		r := telemetry.Default
-		met = &metrics{
-			eagerSent:      r.Counter("diwarp_msg_eager_sent_total"),
-			eagerRecv:      r.Counter("diwarp_msg_eager_recv_total"),
-			rdvSent:        r.Counter("diwarp_msg_rdv_sent_total"),
-			rdvRecv:        r.Counter("diwarp_msg_rdv_recv_total"),
-			eagerBytes:     r.Counter("diwarp_msg_eager_bytes_total"),
-			rdvBytes:       r.Counter("diwarp_msg_rdv_bytes_total"),
-			creditStalls:   r.Counter("diwarp_msg_credit_stalls_total"),
-			creditReclaims: r.Counter("diwarp_msg_credit_reclaims_total"),
-			creditsSent:    r.Counter("diwarp_msg_credits_sent_total"),
-			rdvSwept:       r.Counter("diwarp_msg_rdv_swept_total"),
-			rdvTimeouts:    r.Counter("diwarp_msg_rdv_timeouts_total"),
-			badHeaders:     r.Counter("diwarp_msg_bad_headers_total"),
-			advisories:     r.Counter("diwarp_msg_advisories_total"),
-			sendBytes:      r.Histogram("diwarp_msg_send_bytes"),
-			rdvUS:          r.Histogram("diwarp_msg_rdv_us"),
-			rdvOpen:        r.Gauge("diwarp_msg_rdv_open"),
-		}
-	})
-	return met
+func newMetrics(sc *telemetry.Scope) metrics {
+	return metrics{
+		eagerSent:      sc.Counter("diwarp_msg_eager_sent_total"),
+		eagerRecv:      sc.Counter("diwarp_msg_eager_recv_total"),
+		rdvSent:        sc.Counter("diwarp_msg_rdv_sent_total"),
+		rdvRecv:        sc.Counter("diwarp_msg_rdv_recv_total"),
+		eagerBytes:     sc.Counter("diwarp_msg_eager_bytes_total"),
+		rdvBytes:       sc.Counter("diwarp_msg_rdv_bytes_total"),
+		creditStalls:   sc.Counter("diwarp_msg_credit_stalls_total"),
+		creditReclaims: sc.Counter("diwarp_msg_credit_reclaims_total"),
+		creditsSent:    sc.Counter("diwarp_msg_credits_sent_total"),
+		rdvSwept:       sc.Counter("diwarp_msg_rdv_swept_total"),
+		rdvTimeouts:    sc.Counter("diwarp_msg_rdv_timeouts_total"),
+		badHeaders:     sc.Counter("diwarp_msg_bad_headers_total"),
+		advisories:     sc.Counter("diwarp_msg_advisories_total"),
+		sendBytes:      sc.Histogram("diwarp_msg_send_bytes"),
+		rdvUS:          sc.Histogram("diwarp_msg_rdv_us"),
+		rdvOpen:        sc.Gauge("diwarp_msg_rdv_open"),
+	}
 }
 
 // Endpoint is one message-layer endpoint over one datagram QP.
@@ -360,17 +351,15 @@ type Endpoint struct {
 	inbound *peertab.Table[inKey, *inboundRdv]
 	byStag  *peertab.Table[memreg.STag, *inboundRdv]
 
-	m      *metrics
+	scope  *telemetry.Scope
+	m      metrics
 	closed atomic.Bool
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// Per-endpoint counters (telemetry is process-global).
-	nEagerSent, nEagerRecv atomic.Int64
-	nRdvSent, nRdvRecv     atomic.Int64
-	nEagerBytes, nRdvBytes atomic.Int64
-	nCreditStalls          atomic.Int64
-	nRdvSwept              atomic.Int64
+	// nEagerSentBytes is Stats' EagerBytes: the send direction only,
+	// where m.eagerBytes counts both.
+	nEagerSentBytes atomic.Int64
 }
 
 // Open builds a message-layer endpoint over ep: it creates the protection
@@ -382,6 +371,7 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		return nil, ErrNilHandler
 	}
 	cfg = cfg.withDefaults()
+	sc := telemetry.Default.Scope()
 	e := &Endpoint{
 		cfg:       cfg,
 		threshold: cfg.EagerThreshold,
@@ -394,10 +384,11 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		hdrPool:   nio.NewPool(HeaderLen),
 		sinks:     newSinkPool(),
 		rxBufs:    make(map[uint64][]byte, cfg.RecvDepth),
-		peers:     peertab.New[transport.Addr, peer](hashAddr, peertab.Options{}),
-		inbound:   peertab.New[inKey, *inboundRdv](hashInKey, peertab.Options{}),
-		byStag:    peertab.New[memreg.STag, *inboundRdv](hashSTag, peertab.Options{}),
-		m:         getMetrics(),
+		peers:     peertab.New[transport.Addr, peer](sc, transport.Addr.Hash, peertab.Options{}),
+		inbound:   peertab.New[inKey, *inboundRdv](sc, hashInKey, peertab.Options{}),
+		byStag:    peertab.New[memreg.STag, *inboundRdv](sc, hashSTag, peertab.Options{}),
+		scope:     sc,
+		m:         newMetrics(sc),
 		done:      make(chan struct{}),
 	}
 	e.vecs.New = func() any { return new([2][]byte) }
@@ -408,12 +399,14 @@ func Open(ep transport.Datagram, cfg Config) (*Endpoint, error) {
 		PlacementNotify: e.onPlacement,
 	})
 	if err != nil {
+		sc.Close()
 		return nil, err
 	}
 	e.qp = qp
 	for i := 0; i < cfg.RecvDepth; i++ {
 		if err := e.postOneRecv(); err != nil {
 			qp.Close()
+			sc.Close()
 			return nil, err
 		}
 	}
@@ -433,14 +426,14 @@ func (e *Endpoint) Threshold() int { return e.threshold }
 // Stats snapshots the endpoint's message counters.
 func (e *Endpoint) Stats() Stats {
 	return Stats{
-		EagerSent:    e.nEagerSent.Load(),
-		EagerRecv:    e.nEagerRecv.Load(),
-		RdvSent:      e.nRdvSent.Load(),
-		RdvRecv:      e.nRdvRecv.Load(),
-		EagerBytes:   e.nEagerBytes.Load(),
-		RdvBytes:     e.nRdvBytes.Load(),
-		CreditStalls: e.nCreditStalls.Load(),
-		RdvSwept:     e.nRdvSwept.Load(),
+		EagerSent:    e.m.eagerSent.Load(),
+		EagerRecv:    e.m.eagerRecv.Load(),
+		RdvSent:      e.m.rdvSent.Load(),
+		RdvRecv:      e.m.rdvRecv.Load(),
+		EagerBytes:   e.nEagerSentBytes.Load(),
+		RdvBytes:     e.m.rdvBytes.Load(),
+		CreditStalls: e.m.creditStalls.Load(),
+		RdvSwept:     e.m.rdvSwept.Load(),
 	}
 }
 
@@ -469,14 +462,7 @@ func (e *Endpoint) BufOutstanding() int64 {
 	return e.rxPool.Outstanding() + e.hdrPool.Outstanding() + e.sinks.outstanding()
 }
 
-// hashAddr mirrors rudp's address hash so one peer lands on the same shard
-// index at every layer of the stack.
-func hashAddr(a transport.Addr) uint32 {
-	h := peertab.HashString(peertab.Seed(), a.Node)
-	return peertab.HashUint32(h, uint32(a.Port))
-}
-
-func hashInKey(k inKey) uint32 { return peertab.HashUint32(hashAddr(k.from), k.id) }
+func hashInKey(k inKey) uint32 { return peertab.HashUint32(k.from.Hash(), k.id) }
 
 func hashSTag(s memreg.STag) uint32 { return peertab.HashUint32(peertab.Seed(), uint32(s)) }
 
@@ -532,7 +518,6 @@ func (e *Endpoint) Send(to transport.Addr, payload []byte) error {
 func (e *Endpoint) sendEager(p *peer, to transport.Addr, payload []byte) error {
 	if !p.tryReserve() {
 		e.m.creditStalls.Inc()
-		e.nCreditStalls.Add(1)
 		if err := e.waitCredit(p); err != nil {
 			return err
 		}
@@ -547,8 +532,7 @@ func (e *Endpoint) sendEager(p *peer, to transport.Addr, payload []byte) error {
 	e.noteGrantSent(p, h.Grant)
 	e.m.eagerSent.Inc()
 	e.m.eagerBytes.Add(int64(len(payload)))
-	e.nEagerSent.Add(1)
-	e.nEagerBytes.Add(int64(len(payload)))
+	e.nEagerSentBytes.Add(int64(len(payload)))
 	return nil
 }
 
@@ -641,8 +625,6 @@ func (e *Endpoint) sendRendezvous(p *peer, to transport.Addr, payload []byte) er
 	e.m.rdvSent.Inc()
 	e.m.rdvBytes.Add(int64(n))
 	e.m.rdvUS.Observe(time.Since(start).Microseconds())
-	e.nRdvSent.Add(1)
-	e.nRdvBytes.Add(int64(n))
 	return nil
 }
 
@@ -835,7 +817,6 @@ func (e *Endpoint) handleEager(p *peer, from transport.Addr, buf []byte, n int, 
 	p.consumed.Add(1)
 	e.m.eagerRecv.Inc()
 	e.m.eagerBytes.Add(int64(h.Length))
-	e.nEagerRecv.Add(1)
 	e.cfg.Handler(Message{From: from, Data: buf[HeaderLen:n], ep: e, buf: buf})
 	e.maybeGrant(p, from)
 }
@@ -962,8 +943,6 @@ func (e *Endpoint) maybeComplete(in *inboundRdv) {
 	e.m.rdvOpen.Add(-1)
 	e.m.rdvRecv.Inc()
 	e.m.rdvBytes.Add(int64(in.n))
-	e.nRdvRecv.Add(1)
-	e.nRdvBytes.Add(int64(in.n))
 	e.cfg.Handler(Message{
 		From:       in.key.from,
 		Data:       in.buf[:in.n],
@@ -1028,7 +1007,6 @@ func (e *Endpoint) sweepInbound(now time.Time) {
 		e.sinks.put(in.buf)
 		e.m.rdvOpen.Add(-1)
 		e.m.rdvSwept.Inc()
-		e.nRdvSwept.Add(1)
 	}
 }
 
@@ -1069,5 +1047,6 @@ func (e *Endpoint) Close() error {
 		e.sinks.put(in.buf)
 		e.m.rdvOpen.Add(-1)
 	}
+	e.scope.Close()
 	return err
 }

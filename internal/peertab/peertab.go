@@ -131,10 +131,12 @@ type Table[K comparable, V any] struct {
 	rejected  *telemetry.Counter // diwarp_peertab_admission_rejects_total
 }
 
-// New builds a table striped by hash. The hash must be deterministic for a
-// key's lifetime; FNV-1a over the address bytes (see hash.go) matches the
-// placement-worker sharding so one peer hashes identically at every layer.
-func New[K comparable, V any](hash func(K) uint32, opts Options) *Table[K, V] {
+// New builds a table striped by hash, registering its telemetry in sc —
+// the owner's scope, closed with the owner. The hash must be deterministic
+// for a key's lifetime; FNV-1a over the address bytes (see hash.go)
+// matches the placement-worker sharding so one peer hashes identically at
+// every layer.
+func New[K comparable, V any](sc *telemetry.Scope, hash func(K) uint32, opts Options) *Table[K, V] {
 	n := opts.Shards
 	if n <= 0 {
 		n = DefaultShards
@@ -149,11 +151,11 @@ func New[K comparable, V any](hash func(K) uint32, opts Options) *Table[K, V] {
 		shards:    make([]shard[K, V], pow),
 		mask:      uint32(pow - 1),
 		cap:       opts.Capacity,
-		occupancy: telemetry.Default.Gauge("diwarp_peertab_occupancy"),
-		shardMax:  telemetry.Default.Gauge("diwarp_peertab_shard_max"),
-		shardMin:  telemetry.Default.Gauge("diwarp_peertab_shard_min"),
-		evicted:   telemetry.Default.Counter("diwarp_peertab_evictions_total"),
-		rejected:  telemetry.Default.Counter("diwarp_peertab_admission_rejects_total"),
+		occupancy: sc.Gauge("diwarp_peertab_occupancy"),
+		shardMax:  sc.Gauge("diwarp_peertab_shard_max"),
+		shardMin:  sc.Gauge("diwarp_peertab_shard_min"),
+		evicted:   sc.Counter("diwarp_peertab_evictions_total"),
+		rejected:  sc.Counter("diwarp_peertab_admission_rejects_total"),
 	}
 	empty := make(map[K]*Entry[K, V])
 	for i := range t.shards {

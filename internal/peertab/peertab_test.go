@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 type testVal struct {
@@ -15,7 +17,7 @@ type testVal struct {
 }
 
 func newTestTable(opts Options) *Table[string, testVal] {
-	return New[string, testVal](func(k string) uint32 {
+	return New[string, testVal](telemetry.NewRegistry().Scope(), func(k string) uint32 {
 		return HashString(Seed(), k)
 	}, opts)
 }

@@ -183,13 +183,15 @@ type Endpoint struct {
 	wheel  *peertab.Wheel[transport.Addr]
 	closed atomic.Bool
 
-	// Reliability counters are telemetry-registry handles (DESIGN.md §4.6).
-	// ackSendFail and dataSendFail count inner-transport send failures on
-	// the paths that have no caller to return an error to (ACKs from the
-	// receive loop, retransmissions from the timer loop). The protocol
-	// already tolerates the loss — a dropped ACK is re-cut from cumulative
-	// state, a dropped retransmission fires again at the next RTO — but a
+	// Reliability counters are handles in the endpoint's telemetry scope
+	// (DESIGN.md §4.6), retired by Close. ackSendFail and dataSendFail
+	// count inner-transport send failures on the paths that have no
+	// caller to return an error to (ACKs from the receive loop,
+	// retransmissions from the timer loop). The protocol already
+	// tolerates the loss — a dropped ACK is re-cut from cumulative state,
+	// a dropped retransmission fires again at the next RTO — but a
 	// persistently failing transport must be visible rather than silent.
+	scope         *telemetry.Scope
 	retransmits   *telemetry.Counter   // DATA packets resent (RTO expiry or fast retransmit)
 	rtoExpired    *telemetry.Counter   // RTO expiry events (includes final, fatal one)
 	ackSendFail   *telemetry.Counter   // ACK sends the inner transport rejected
@@ -398,13 +400,6 @@ type pending struct {
 	refs     atomic.Int32
 }
 
-// hashAddr is the table's shard hash: FNV-1a over the address, the same
-// discipline (and therefore the same spread) as the core placement workers.
-func hashAddr(a transport.Addr) uint32 {
-	h := peertab.HashString(peertab.Seed(), a.Node)
-	return peertab.HashUint32(h, uint32(a.Port))
-}
-
 // New wraps inner with reliability using default Config. The Endpoint owns
 // inner and closes it.
 func New(inner transport.Datagram) *Endpoint { return NewConfig(inner, Config{}) }
@@ -412,32 +407,34 @@ func New(inner transport.Datagram) *Endpoint { return NewConfig(inner, Config{})
 // NewConfig wraps inner with reliability under an explicit peer-table
 // policy.
 func NewConfig(inner transport.Datagram, cfg Config) *Endpoint {
+	sc := telemetry.Default.Scope()
 	e := &Endpoint{
 		inner:   inner,
 		cfg:     cfg,
 		pool:    nio.NewPool(inner.MaxDatagram()),
 		ackPool: nio.NewPool(ackLen),
-		tab: peertab.New[transport.Addr, peerState](hashAddr, peertab.Options{
+		tab: peertab.New[transport.Addr, peerState](sc, transport.Addr.Hash, peertab.Options{
 			Shards:   cfg.Shards,
 			Capacity: cfg.MaxPeers,
 		}),
 		wheel:         peertab.NewWheel[transport.Addr](wheelSlots, tickInterval),
 		inbox:         make(chan message, 1024),
 		done:          make(chan struct{}),
-		retransmits:   telemetry.Default.Counter("diwarp_rudp_retransmits_total"),
-		rtoExpired:    telemetry.Default.Counter("diwarp_rudp_rto_expired_total"),
-		ackSendFail:   telemetry.Default.Counter("diwarp_rudp_ack_send_fail_total"),
-		dataSendFail:  telemetry.Default.Counter("diwarp_rudp_retransmit_send_fail_total"),
-		crcFail:       telemetry.Default.Counter("diwarp_rudp_crc_fail_total"),
-		windowDrops:   telemetry.Default.Counter("diwarp_rudp_window_drops_total"),
-		evictions:     telemetry.Default.Counter("diwarp_rudp_peer_evictions_total"),
-		epochMismatch: telemetry.Default.Counter("diwarp_rudp_epoch_mismatch_total"),
-		rtt:           telemetry.Default.Histogram("diwarp_rudp_rtt_microseconds"),
-		ccCwnd:        telemetry.Default.Gauge("diwarp_rudp_cc_cwnd"),
-		ccFastRexmit:  telemetry.Default.Counter("diwarp_rudp_cc_fast_retransmits_total"),
-		ccSpurious:    telemetry.Default.Counter("diwarp_rudp_cc_spurious_rexmits_total"),
-		ccEcnMarks:    telemetry.Default.Counter("diwarp_rudp_cc_ecn_marks_total"),
-		ccMDEvents:    telemetry.Default.Counter("diwarp_rudp_cc_md_events_total"),
+		scope:         sc,
+		retransmits:   sc.Counter("diwarp_rudp_retransmits_total"),
+		rtoExpired:    sc.Counter("diwarp_rudp_rto_expired_total"),
+		ackSendFail:   sc.Counter("diwarp_rudp_ack_send_fail_total"),
+		dataSendFail:  sc.Counter("diwarp_rudp_retransmit_send_fail_total"),
+		crcFail:       sc.Counter("diwarp_rudp_crc_fail_total"),
+		windowDrops:   sc.Counter("diwarp_rudp_window_drops_total"),
+		evictions:     sc.Counter("diwarp_rudp_peer_evictions_total"),
+		epochMismatch: sc.Counter("diwarp_rudp_epoch_mismatch_total"),
+		rtt:           sc.Histogram("diwarp_rudp_rtt_microseconds"),
+		ccCwnd:        sc.Gauge("diwarp_rudp_cc_cwnd"),
+		ccFastRexmit:  sc.Counter("diwarp_rudp_cc_fast_retransmits_total"),
+		ccSpurious:    sc.Counter("diwarp_rudp_cc_spurious_rexmits_total"),
+		ccEcnMarks:    sc.Counter("diwarp_rudp_cc_ecn_marks_total"),
+		ccMDEvents:    sc.Counter("diwarp_rudp_cc_md_events_total"),
 	}
 	e.ccCwnd.Set(initialCwnd)
 	e.wg.Add(2)
@@ -1317,5 +1314,6 @@ func (e *Endpoint) Close() error {
 	e.tab.Clear(func(ent *peerEntry) {
 		e.releaseWindow(ent)
 	})
+	e.scope.Close()
 	return err
 }

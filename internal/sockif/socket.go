@@ -68,10 +68,12 @@ type Socket struct {
 	rcqp    *iwarp.RCQP
 	pending []byte // partial inbound message remainder (stream semantics)
 
-	// Socket counters are telemetry-registry handles (DESIGN.md §4.6):
-	// Stats() reads this socket's handles exactly, and the process scrape
-	// sums every socket under the diwarp_sock_* names. Handles are atomic,
-	// so they are bumped without s.mu.
+	// Socket counters are handles in the socket's telemetry scope
+	// (DESIGN.md §4.6): Stats() reads this socket's handles exactly, the
+	// process scrape sums every socket under the diwarp_sock_* names, and
+	// Close retires them. Handles are atomic, so they are bumped without
+	// s.mu.
+	scope *telemetry.Scope
 	stats struct {
 		msgsSent, msgsRecv, bytesSent, bytesRecv *telemetry.Counter
 		truncated, droppedIncomplete             *telemetry.Counter
@@ -86,15 +88,17 @@ type SocketStats struct {
 	DroppedIncomplete        int64 // Write-Record messages dropped with holes
 }
 
-// newSocket builds a bare socket with its counters registered.
+// newSocket builds a bare socket with its counters registered. A caller
+// that fails to hand the socket out closes s.scope.
 func newSocket(ifc *Interface, t Type) *Socket {
-	s := &Socket{ifc: ifc, typ: t}
-	s.stats.msgsSent = telemetry.Default.Counter("diwarp_sock_msgs_sent_total")
-	s.stats.msgsRecv = telemetry.Default.Counter("diwarp_sock_msgs_recv_total")
-	s.stats.bytesSent = telemetry.Default.Counter("diwarp_sock_bytes_sent_total")
-	s.stats.bytesRecv = telemetry.Default.Counter("diwarp_sock_bytes_recv_total")
-	s.stats.truncated = telemetry.Default.Counter("diwarp_sock_truncated_total")
-	s.stats.droppedIncomplete = telemetry.Default.Counter("diwarp_sock_dropped_incomplete_total")
+	sc := telemetry.Default.Scope()
+	s := &Socket{ifc: ifc, typ: t, scope: sc}
+	s.stats.msgsSent = sc.Counter("diwarp_sock_msgs_sent_total")
+	s.stats.msgsRecv = sc.Counter("diwarp_sock_msgs_recv_total")
+	s.stats.bytesSent = sc.Counter("diwarp_sock_bytes_sent_total")
+	s.stats.bytesRecv = sc.Counter("diwarp_sock_bytes_recv_total")
+	s.stats.truncated = sc.Counter("diwarp_sock_truncated_total")
+	s.stats.droppedIncomplete = sc.Counter("diwarp_sock_dropped_incomplete_total")
 	return s
 }
 
@@ -778,5 +782,6 @@ func (s *Socket) Close() error {
 			err = cerr
 		}
 	}
+	s.scope.Close()
 	return err
 }

@@ -73,11 +73,6 @@ type Config struct {
 	// Reliable wraps datagram endpoints in the reliable-datagram LLP,
 	// giving TCP-like guarantees with datagram scalability (RD service).
 	Reliable bool
-	// RudpConfig parameterises the reliable-datagram layer when Reliable
-	// is set: peer-table sharding, bounded capacity (admission errors past
-	// MaxPeers), and idle-conversation eviction. The zero value keeps
-	// rudp's defaults (unbounded, no idle eviction).
-	RudpConfig rudp.Config
 	// StreamWriteRecord switches stream (RC) sockets to the RDMA Write
 	// data path: rings are advertised in the MPA private data at connect
 	// time, large sends become RDMA Write + notify (the paper's Figure 3
@@ -151,27 +146,31 @@ func (ifc *Interface) BindDatagram(port uint16) (*Socket, error) {
 }
 
 func (ifc *Interface) socket(t Type, port uint16) (*Socket, error) {
-	s := newSocket(ifc, t)
+	var ep transport.Datagram
 	switch t {
 	case DatagramSocket:
 		if ifc.cfg.OpenDatagram == nil {
 			return nil, fmt.Errorf("%w: no datagram opener configured", ErrBadSocket)
 		}
-		ep, err := ifc.cfg.OpenDatagram(port)
-		if err != nil {
+		var err error
+		if ep, err = ifc.cfg.OpenDatagram(port); err != nil {
 			return nil, err
 		}
 		if ifc.cfg.Reliable {
-			ep = rudp.NewConfig(ep, ifc.cfg.RudpConfig)
-		}
-		if err := s.initUD(ep); err != nil {
-			ep.Close() //diwarp:ignore errflow: error-path cleanup of an endpoint never exposed; initUD's error is the one to report
-			return nil, err
+			ep = rudp.New(ep)
 		}
 	case StreamSocket:
 		// Stream sockets acquire their QP at Connect/Accept time, like TCP.
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadSocket, t)
+	}
+	s := newSocket(ifc, t)
+	if ep != nil {
+		if err := s.initUD(ep); err != nil {
+			ep.Close() //diwarp:ignore errflow: error-path cleanup of an endpoint never exposed; initUD's error is the one to report
+			s.scope.Close()
+			return nil, err
+		}
 	}
 	ifc.mu.Lock()
 	ifc.nextFD++
@@ -249,6 +248,7 @@ func (sl *StreamListener) Accept() (*Socket, error) {
 	s := newSocket(sl.ifc, StreamSocket)
 	if err := s.initRCAccept(stream); err != nil {
 		stream.Close() //diwarp:ignore errflow: error-path cleanup of a stream never exposed; initRCAccept's error is the one to report
+		s.scope.Close()
 		return nil, err
 	}
 	sl.ifc.mu.Lock()

@@ -57,8 +57,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // /trace.json output reads without the numeric enum and token tables.
 func (e Event) MarshalJSON() ([]byte, error) {
 	peer := ""
-	if !e.Peer.IsZero() {
-		peer = e.Peer.String()
+	if e.Peer != nil {
+		peer = fmt.Sprint(e.Peer)
 	}
 	return json.Marshal(struct {
 		Seq   uint64 `json:"seq"`

@@ -18,9 +18,6 @@
 //   - events: a lock-free sequence-stamped [Ring] of typed datapath events
 //     (send, recv, retransmit, drop, Write-Record placement, CRC failure)
 //     drained post-hoc by tests, the trace endpoint, and diwarp-top;
-//   - wire: [DatagramTap] and [StreamTap] copy traffic crossing a
-//     transport.Datagram or transport.Stream into standard .pcap files
-//     (UDP/TCP encapsulation) any Wireshark can open;
 //   - exposition: [WritePrometheus], [Snapshot] JSON, and [Handler] for
 //     embedding in daemons (cmd/iwarpd serves it behind -metrics).
 //
@@ -29,7 +26,9 @@
 // under the same name — every UD queue pair registers
 // diwarp_ud_msgs_sent_total, for example — and the registry aggregates
 // them at snapshot time, so per-instance accessors (UDQP.Stats,
-// rudp's Snapshot) stay exact while the process-wide view is the sum.
+// rudp's Snapshot) stay exact while the process-wide view is the sum. An
+// object with a Close registers through its own [Scope], so the registry
+// follows the live objects. The package imports nothing from the stack.
 package telemetry
 
 import (
@@ -38,7 +37,8 @@ import (
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready to
-// use; obtain registered instances from [Registry.Counter].
+// use; obtain registered instances from [Scope.Counter] or
+// [Registry.Counter].
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
@@ -55,7 +55,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is a metric that can go up and down. The zero value is ready to
-// use; obtain registered instances from [Registry.Gauge].
+// use; obtain registered instances from [Scope.Gauge] or
+// [Registry.Gauge].
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge's value.
@@ -114,6 +115,15 @@ type HistogramSnapshot struct {
 	Count   int64    `json:"count"`
 	Sum     int64    `json:"sum"`
 	Buckets []Bucket `json:"buckets,omitempty"`
+}
+
+// fold adds from's observations into h.
+func (h *Histogram) fold(from *Histogram) {
+	for k := range from.buckets {
+		h.buckets[k].Add(from.buckets[k].Load())
+	}
+	h.count.Add(from.count.Load())
+	h.sum.Add(from.sum.Load())
 }
 
 // Snapshot copies the histogram's current state.

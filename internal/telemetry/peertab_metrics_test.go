@@ -17,7 +17,7 @@ import (
 // and an admission reject so every counter moves, then refreshes the
 // imbalance gauges via Stats.
 func TestPeertabMetricNames(t *testing.T) {
-	tab := peertab.New[string, int](
+	tab := peertab.New[string, int](telemetry.Default.Scope(),
 		func(k string) uint32 { return peertab.HashString(peertab.Seed(), k) },
 		peertab.Options{Shards: 4, Capacity: 8},
 	)

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/transport"
 )
 
 // EventType identifies one kind of datapath trace event.
@@ -62,57 +60,61 @@ func (t EventType) String() string {
 // number (1-based, gapless across the process lifetime of the ring), which
 // lets post-hoc analysis order events and detect overwritten spans.
 type Event struct {
-	Seq   uint64         `json:"seq"`
-	Time  time.Time      `json:"time"`
-	Type  EventType      `json:"-"`
-	Peer  transport.Addr `json:"-"`
-	Bytes int            `json:"bytes"`
-	Arg   uint32         `json:"arg"`
+	Seq   uint64    `json:"seq"`
+	Time  time.Time `json:"time"`
+	Type  EventType `json:"-"`
+	Peer  any       `json:"-"`
+	Bytes int       `json:"bytes"`
+	Arg   uint32    `json:"arg"`
 }
 
 // Peer interning: trace slots must be written with plain atomic stores (the
 // record path takes no locks and the race detector must stay clean), so an
-// event cannot carry transport.Addr's string directly. Addresses are
-// interned once into 24-bit tokens — peers are long-lived relative to
-// packets — and events carry the token.
+// event cannot carry a peer address directly. Addresses of any comparable
+// type (transport.Addr in the stack) are interned once into 24-bit tokens
+// — peers are long-lived relative to packets — and events carry the token.
 var (
-	peerTokens sync.Map // transport.Addr -> uint32
+	peerTokens sync.Map // peer key -> uint32
 	peersMu    sync.Mutex
-	peerList   []transport.Addr // index = token-1
+	peerList   []any // index = token-1
 )
 
 // peerTokenBits bounds the token space to what an event slot encodes.
 const peerTokenBits = 24
 
-// PeerToken interns addr and returns its stable token. The fast path is
-// one lock-free map load; the first sighting of a peer takes a short lock.
-// Token 0 is "no/unknown peer" (also returned in the pathological case of
-// more than 2^24 distinct peers).
-func PeerToken(addr transport.Addr) uint32 {
-	if v, ok := peerTokens.Load(addr); ok {
+// PeerToken interns k and returns its stable token. The fast path is one
+// lock-free map load; the first sighting of a peer takes a short lock.
+// Token 0 is "no/unknown peer": the zero key maps to it, as does the
+// pathological case of more than 2^24 distinct peers.
+func PeerToken[K comparable](k K) uint32 {
+	var zero K
+	if k == zero {
+		return 0
+	}
+	if v, ok := peerTokens.Load(k); ok {
 		return v.(uint32)
 	}
 	peersMu.Lock()
 	defer peersMu.Unlock()
-	if v, ok := peerTokens.Load(addr); ok {
+	if v, ok := peerTokens.Load(k); ok {
 		return v.(uint32)
 	}
 	if len(peerList) >= 1<<peerTokenBits-1 {
 		return 0
 	}
-	peerList = append(peerList, addr)
+	peerList = append(peerList, k)
 	tok := uint32(len(peerList))
-	peerTokens.Store(addr, tok)
+	peerTokens.Store(k, tok)
 	return tok
 }
 
-// PeerOf resolves a token back to its address; the zero Addr for token 0
-// or an unknown token.
-func PeerOf(tok uint32) transport.Addr {
+// PeerOf resolves a token back to its peer key; nil for token 0 or an
+// unknown token.
+func PeerOf(tok uint32) any {
 	peersMu.Lock()
 	defer peersMu.Unlock()
 	if tok == 0 || int(tok) > len(peerList) {
-		return transport.Addr{}
+		return nil
 	}
 	return peerList[tok-1]
 }

@@ -3,13 +3,18 @@ package telemetry
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/transport"
 )
+
+// peerKey stands in for a transport address: interning takes any
+// comparable key.
+type peerKey struct {
+	node string
+	port uint16
+}
 
 func TestRingRecordAndDrain(t *testing.T) {
 	r := NewRing(64)
-	tok := PeerToken(transport.Addr{Node: "trace-test-a", Port: 7})
+	tok := PeerToken(peerKey{"trace-test-a", 7})
 	r.Record(EvSend, tok, 100, 1)
 	r.Record(EvRecv, tok, 100, 1)
 	r.Record(EvDrop, 0, 42, DropLoss)
@@ -26,14 +31,14 @@ func TestRingRecordAndDrain(t *testing.T) {
 	if evs[0].Type != EvSend || evs[1].Type != EvRecv || evs[2].Type != EvDrop {
 		t.Fatalf("types = %v %v %v", evs[0].Type, evs[1].Type, evs[2].Type)
 	}
-	if evs[0].Peer != (transport.Addr{Node: "trace-test-a", Port: 7}) {
+	if evs[0].Peer != (peerKey{"trace-test-a", 7}) {
 		t.Fatalf("peer round trip failed: %v", evs[0].Peer)
 	}
 	if evs[2].Bytes != 42 || evs[2].Arg != DropLoss {
 		t.Fatalf("drop event = %+v", evs[2])
 	}
-	if evs[2].Peer != (transport.Addr{}) {
-		t.Fatalf("token 0 must decode to the zero addr, got %v", evs[2].Peer)
+	if evs[2].Peer != nil {
+		t.Fatalf("token 0 must decode to no peer, got %v", evs[2].Peer)
 	}
 
 	// Drain consumes: a second drain returns only newer events.
@@ -133,20 +138,23 @@ func TestRingConcurrent(t *testing.T) {
 }
 
 func TestPeerTokenStable(t *testing.T) {
-	a := transport.Addr{Node: "trace-test-stable", Port: 1}
+	a := peerKey{"trace-test-stable", 1}
 	t1 := PeerToken(a)
 	t2 := PeerToken(a)
 	if t1 == 0 || t1 != t2 {
 		t.Fatalf("tokens %d, %d", t1, t2)
 	}
-	if got := PeerOf(t1); got != a {
+	if got := PeerOf(t1); got != any(a) {
 		t.Fatalf("PeerOf(%d) = %v, want %v", t1, got, a)
 	}
-	if b := PeerToken(transport.Addr{Node: "trace-test-stable", Port: 2}); b == t1 {
+	if b := PeerToken(peerKey{"trace-test-stable", 2}); b == t1 {
 		t.Fatal("distinct addrs shared a token")
 	}
-	if got := PeerOf(1 << 30); got != (transport.Addr{}) {
+	if got := PeerOf(1 << 30); got != nil {
 		t.Fatalf("unknown token resolved to %v", got)
+	}
+	if tok := PeerToken(peerKey{}); tok != 0 {
+		t.Fatalf("zero key interned as token %d, want 0", tok)
 	}
 }
 
@@ -159,5 +167,15 @@ func TestEventTypeString(t *testing.T) {
 		if got := ty.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", ty, got, want)
 		}
+	}
+}
+
+// TestPeerTokenAllocFree pins interning's fast path at zero allocations:
+// datapath layers call PeerToken for every event they record.
+func TestPeerTokenAllocFree(t *testing.T) {
+	k := peerKey{"trace-test-alloc", 9}
+	PeerToken(k)
+	if n := testing.AllocsPerRun(1000, func() { PeerToken(k) }); n != 0 {
+		t.Fatalf("PeerToken allocates %.1f per call on a known peer", n)
 	}
 }

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/peertab"
 )
 
 // Errors shared by every LLP implementation.
@@ -58,6 +60,15 @@ func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Node, a.Port) }
 
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Node == "" && a.Port == 0 }
+
+// Hash is the stack's one peer hash: FNV-1a over the node name, then the
+// port. The UD placement workers and every per-peer table (core, rudp,
+// msg) shard by it, so one peer lands on the same index at every layer.
+//
+//diwarp:hotpath
+func (a Addr) Hash() uint32 {
+	return peertab.HashUint32(peertab.HashString(peertab.Seed(), a.Node), uint32(a.Port))
+}
 
 // Datagram is a connectionless, message-boundary-preserving LLP endpoint —
 // the service UDP provides. Implementations may silently drop, reorder, or

@@ -6,11 +6,11 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/nio"
+	"repro/internal/peertab"
+	"repro/internal/telemetry"
 )
 
 // UDPEndpoint adapts a kernel UDP socket to the Datagram interface. It is
@@ -20,8 +20,8 @@ import (
 // The receive path is pooled: buffers come from a per-endpoint nio.Pool
 // rather than a fresh 64 KB allocation per packet, and consumers hand them
 // back through Recycle — the software analogue of a receive ring. Source
-// addresses resolve through a small cache so the per-packet path performs
-// zero allocations in steady state (ReadFromUDP's *net.UDPAddr and
+// addresses resolve through a small peer table so the per-packet path
+// performs zero allocations in steady state (ReadFromUDP's *net.UDPAddr and
 // IP.String() would otherwise allocate twice per packet).
 type UDPEndpoint struct {
 	conn *net.UDPConn
@@ -35,12 +35,11 @@ type UDPEndpoint struct {
 	kern  *kernelBatch
 	feats BatchFeatures
 
-	// addrs memoizes source-address rendering, sharded with the same
-	// striping discipline as internal/peertab (which transport cannot
-	// import: telemetry sits between them): the per-packet hit is a
-	// lock-free snapshot lookup instead of an endpoint-wide RWMutex every
-	// receive shares.
-	addrs addrCache
+	// addrs memoizes source-address rendering: the per-packet hit is a
+	// lock-free snapshot lookup. An entry's V never changes once
+	// published, so it is read without the entry lock.
+	addrs *peertab.Table[netip.AddrPort, Addr]
+	scope *telemetry.Scope
 }
 
 var (
@@ -52,8 +51,8 @@ var (
 	_ BatchCapabilities = (*UDPEndpoint)(nil)
 )
 
-// maxAddrCache bounds the source-address cache; at the bound the cache is
-// reset wholesale (one burst of re-resolution) rather than tracking LRU
+// maxAddrCache bounds the source-address table; at the bound the table is
+// cleared wholesale (one burst of re-resolution) rather than tracking LRU
 // state on the per-packet path.
 const maxAddrCache = 4096
 
@@ -90,12 +89,17 @@ func ListenUDPMode(host string, port uint16, mode UDPBatchMode) (*UDPEndpoint, e
 	// stack relies on the kernel's UDP buffering below it.
 	_ = conn.SetReadBuffer(8 << 20)  //diwarp:ignore errflow: socket-option tuning: kernels cap, not fail, oversized requests
 	_ = conn.SetWriteBuffer(8 << 20) //diwarp:ignore errflow: socket-option tuning: kernels cap, not fail, oversized requests
+	sc := telemetry.Default.Scope()
 	e := &UDPEndpoint{
-		conn: conn,
-		mtu:  DefaultMTU,
-		pool: nio.NewPool(MaxDatagramSize),
+		conn:  conn,
+		mtu:   DefaultMTU,
+		pool:  nio.NewPool(MaxDatagramSize),
+		scope: sc,
+		addrs: peertab.New[netip.AddrPort, Addr](sc, hashAddrPort, peertab.Options{
+			Shards:   8, // the receive path's concurrency: recvmmsg drain + a few placement workers
+			Capacity: maxAddrCache,
+		}),
 	}
-	e.addrs.init()
 	e.kern = newKernelBatch(conn, mode)
 	if e.kern != nil {
 		e.feats = e.kern.features()
@@ -210,48 +214,13 @@ func (e *UDPEndpoint) readPooled() ([]byte, Addr, error) {
 	return buf[:n], e.cachedAddr(ap), nil
 }
 
-// addrCacheStripes is the cache's stripe count (power of two). 8 stripes
-// match the receive path's realistic concurrency (recvmmsg drain plus a few
-// placement workers) without bloating the endpoint struct.
-const addrCacheStripes = 8
-
-// addrCache is the miniature of peertab's sharded table the import cycle
-// forces on this package: N stripes selected by FNV-1a over the source
-// address, each holding an atomic pointer to an immutable snapshot map.
-// Hits load the snapshot lock-free; inserts copy-on-write under the stripe
-// mutex. At the capacity bound the cache resets wholesale (one burst of
-// re-rendering) rather than tracking LRU on the packet path.
-type addrCache struct {
-	stripes [addrCacheStripes]struct {
-		mu   sync.Mutex
-		snap atomic.Pointer[map[netip.AddrPort]Addr]
-		_    [32]byte // keep neighbouring stripes off one cache line
-	}
-	len atomic.Int64
-}
-
-func (c *addrCache) init() {
-	for i := range c.stripes {
-		empty := make(map[netip.AddrPort]Addr)
-		c.stripes[i].snap.Store(&empty)
-	}
-}
-
-// hashAddrPort selects a stripe: FNV-1a over the 16-byte address form and
-// the port, the same discipline as peertab's hash helpers.
+// hashAddrPort shards the source-address table: FNV-1a over the 16-byte
+// address form and the port.
 //
 //diwarp:hotpath
 func hashAddrPort(ap netip.AddrPort) uint32 {
-	const fnvOffset, fnvPrime = 2166136261, 16777619
 	b := ap.Addr().As16()
-	h := uint32(fnvOffset)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint32(b[i])) * fnvPrime
-	}
-	p := ap.Port()
-	h = (h ^ uint32(p>>8)) * fnvPrime
-	h = (h ^ uint32(p&0xff)) * fnvPrime
-	return h
+	return peertab.HashUint32(peertab.HashBytes(peertab.Seed(), b[:]), uint32(ap.Port()))
 }
 
 // cachedAddr maps a socket address to a transport.Addr, memoizing the
@@ -263,40 +232,19 @@ func (e *UDPEndpoint) cachedAddr(ap netip.AddrPort) Addr {
 	// (::ffff:a.b.c.d); unmap so the cached Node matches what resolve()
 	// parses on the send side.
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-	s := &e.addrs.stripes[hashAddrPort(ap)&(addrCacheStripes-1)]
-	if a, ok := (*s.snap.Load())[ap]; ok {
-		return a
+	if ent := e.addrs.Get(ap); ent != nil {
+		return ent.V
 	}
 	return e.cachedAddrSlow(ap)
 }
 
 func (e *UDPEndpoint) cachedAddrSlow(ap netip.AddrPort) Addr {
 	a := Addr{Node: ap.Addr().String(), Port: ap.Port()}
-	if e.addrs.len.Load() >= maxAddrCache {
-		for i := range e.addrs.stripes {
-			s := &e.addrs.stripes[i]
-			s.mu.Lock()
-			empty := make(map[netip.AddrPort]Addr)
-			s.snap.Store(&empty)
-			s.mu.Unlock()
-		}
-		e.addrs.len.Store(0)
+	set := func(ent *peertab.Entry[netip.AddrPort, Addr]) { ent.V = a }
+	if _, _, err := e.addrs.GetOrCreate(ap, set); errors.Is(err, peertab.ErrCapacity) {
+		e.addrs.Clear(nil)
+		_, _, _ = e.addrs.GetOrCreate(ap, set) //diwarp:ignore errflow: a miss only costs the next packet a re-render; a is the answer either way
 	}
-	s := &e.addrs.stripes[hashAddrPort(ap)&(addrCacheStripes-1)]
-	s.mu.Lock()
-	old := *s.snap.Load()
-	if hit, ok := old[ap]; ok {
-		s.mu.Unlock()
-		return hit
-	}
-	next := make(map[netip.AddrPort]Addr, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[ap] = a
-	s.snap.Store(&next)
-	s.mu.Unlock()
-	e.addrs.len.Add(1)
 	return a
 }
 
@@ -386,4 +334,7 @@ func (e *UDPEndpoint) MaxDatagram() int { return MaxDatagramSize }
 func (e *UDPEndpoint) PathMTU() int { return e.mtu }
 
 // Close implements Datagram.
-func (e *UDPEndpoint) Close() error { return e.conn.Close() }
+func (e *UDPEndpoint) Close() error {
+	defer e.scope.Close()
+	return e.conn.Close()
+}

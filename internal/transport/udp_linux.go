@@ -44,7 +44,8 @@ type kernelBatch struct {
 	family int           // socket address family: AF_INET or AF_INET6
 
 	// Destination sockaddr cache: Addr → kernel-ready sockaddr, so the
-	// send path never re-parses an IP string. Bounded like addrCache.
+	// send path never re-parses an IP string. Bounded by maxAddrCache like
+	// the source-address table.
 	destMu sync.RWMutex
 	dests  map[Addr]*rawDest
 
